@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_CompiledEval|BenchmarkAblation_ParallelEval|BenchmarkAblation_StreamingEval|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_IncrementalChurn|BenchmarkAblation_TerminationFastPath|BenchmarkIncrementalVsReEval|BenchmarkServiceWarmVsCold
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_CompiledEval|BenchmarkAblation_StreamingEval|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_IncrementalChurn|BenchmarkAblation_TerminationFastPath|BenchmarkIncrementalVsReEval|BenchmarkServiceWarmVsCold
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
@@ -37,8 +37,8 @@ race-service:
 
 # race-shard race-checks the sharded round executor's determinism contract:
 # the byte-identity grid over Shards × Workers × Strategy, goal prefix-cut
-# partial databases, budget agreement, the incremental oracle and the
-# shard-aware stats accounting.
+# partial databases, budget agreement, the maintained-view insertion oracle
+# and the shard-aware stats accounting.
 race-shard:
 	$(GO) test -race -run 'TestSharded|TestShardOwner|TestShardView' ./internal/eval ./internal/db
 
@@ -56,9 +56,11 @@ serve-smoke:
 
 # bench runs the eval/chase benchmark families and records ns/op, B/op and
 # allocs/op per benchmark in BENCH_eval.json so the perf trajectory is
-# tracked from PR to PR.
+# tracked from PR to PR. -cpu=1 keeps go test from appending a GOMAXPROCS
+# suffix, so names are the same on every machine; benchjson fails on a
+# duplicate name.
 bench:
-	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCHTIME) . | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_eval.json
+	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCHTIME) -cpu=1 . | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_eval.json
 
 bench-all:
 	$(GO) test -bench=. -benchmem .

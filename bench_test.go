@@ -422,19 +422,32 @@ func BenchmarkEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalVsReEval measures insertion maintenance against full
-// re-evaluation on a growing chain closure.
+// BenchmarkIncrementalVsReEval measures maintenance of a materialized view
+// against full re-evaluation on a chain closure. One maintained iteration
+// asserts a fact and retracts it again, so the view returns to its starting
+// state every iteration.
 func BenchmarkIncrementalVsReEval(b *testing.B) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 48)
-	out, _, err := eval.Eval(p, base, eval.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	newFact := ast.GroundAtom{Pred: "A", Args: []ast.Const{ast.Int(200), ast.Int(201)}}
-	b.Run("incremental", func(b *testing.B) {
+	b.Run("assert-retract", func(b *testing.B) {
+		prep, err := eval.Prepare(p, eval.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		view, _, err := prep.Materialize(ctx, base, eval.MaintainOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		assert := eval.Delta{Assert: []ast.GroundAtom{newFact}}
+		retract := eval.Delta{Retract: []ast.GroundAtom{newFact}}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Incremental(p, out, []ast.GroundAtom{newFact}, eval.Options{}); err != nil {
+			if _, _, err := view.Apply(ctx, assert); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := view.Apply(ctx, retract); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -567,21 +580,6 @@ func BenchmarkAblation_CompiledEval(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_ParallelEval measures round-parallel evaluation.
-func BenchmarkAblation_ParallelEval(b *testing.B) {
-	p := workload.TransitiveClosure()
-	edb := workload.RandomDigraph("A", 90, 180, 7)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblation_ShardedEval measures the sharded round executor against

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -35,29 +36,11 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -75,24 +58,50 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 }
 
-// parseLine parses one `BenchmarkX-8  100  123 ns/op  45 B/op  6 allocs/op`
-// line. The -N GOMAXPROCS suffix is stripped from the name.
+// parse reads `go test -bench` output into a report. Names are kept as
+// printed — run the benchmarks with -cpu=1, where go test appends no
+// GOMAXPROCS suffix, so a trailing -<int> is part of the name (layers-8) —
+// and a name seen twice is an error: two results under one name cannot be
+// told apart in the trajectory.
+func parse(r io.Reader) (Report, error) {
+	var rep Report
+	seen := map[string]bool{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "cpu:"):
+			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseLine(line); ok {
+				if seen[r.Name] {
+					return rep, fmt.Errorf("duplicate benchmark name %q", r.Name)
+				}
+				seen[r.Name] = true
+				rep.Benchmarks = append(rep.Benchmarks, r)
+			}
+		}
+	}
+	return rep, sc.Err()
+}
+
+// parseLine parses one `BenchmarkX  100  123 ns/op  45 B/op  6 allocs/op`
+// line.
 func parseLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return Result{}, false
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: name, Runs: runs}
+	r := Result{Name: fields[0], Runs: runs}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
 		switch unit {

@@ -31,7 +31,7 @@
 //	-v        print cache/session statistics (compare, minimize)
 //	-json     machine-readable vet output
 //	-addr     listen address for serve (default 127.0.0.1:8371)
-//	-workers  parallel rule workers per fixpoint round (0 = sequential)
+//	-workers  goroutines running shard tasks (with -shards)
 //	-shards   hash-partition shards per fixpoint round (0 or 1 = unsharded);
 //	          for serve, both become the server's session defaults
 //
@@ -78,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	verbose := fs.Bool("v", false, "print cache/session statistics")
 	jsonOut := fs.Bool("json", false, "machine-readable vet output")
 	addr := fs.String("addr", "127.0.0.1:8371", "listen address for serve")
-	workers := fs.Int("workers", 0, "parallel rule workers per fixpoint round (0 = sequential)")
+	workers := fs.Int("workers", 0, "goroutines running shard tasks (with -shards)")
 	shards := fs.Int("shards", 0, "hash-partition shards per fixpoint round (0 or 1 = unsharded)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {

@@ -20,8 +20,9 @@ import (
 // Positional arguments of the form name=file preload
 // program versions before the listener opens, so a deployment can ship its
 // programs on the command line and tenants only push facts and queries.
-// The -workers and -shards flags become the server's session defaults;
-// requests can still tune (capped) values per call through the budget.
+// The -shards flag and -workers (goroutines running shard tasks, with
+// -shards) become the server's session defaults; requests can still tune
+// (capped) values per call through the budget.
 func (c *cli) cmdServe(rest []string) error {
 	srv := service.New(core.SessionOptions{Workers: c.opts.Workers, Shards: c.opts.Shards})
 	for _, arg := range rest {

@@ -202,9 +202,10 @@ type SessionOptions struct {
 	// built over the same cache share delta-patched plans by content
 	// address.
 	PlanCache *PlanCache
-	// Workers sets the default evaluation parallelism for sessions built
-	// with these options (0 = the library default). Shards sets the default
-	// shard count for the sharded round executor (0 or 1 = unsharded).
+	// Shards sets the default shard count for the sharded round executor
+	// of sessions built with these options (0 or 1 = unsharded), and
+	// Workers the default number of goroutines running its shard tasks
+	// (ignored when unsharded).
 	// Sessions prepare their plan under these values — the plan key includes
 	// both — and per-request overrides (Session.EvalWith) resolve plan
 	// variants through the same cache.
@@ -372,12 +373,6 @@ func UniformlyContainsRuleCertified(p *Program, r Rule) (bool, *chase.Certificat
 // program (Section X's remark; internal/unfold).
 func UnfoldToDepth(p *Program, k, maxRules int) (unfold.Result, error) {
 	return unfold.ToDepth(p, k, maxRules)
-}
-
-// Incremental maintains a computed output under fact insertion
-// (internal/eval; pure Datalog only).
-func Incremental(p *Program, out *Database, newFacts []GroundAtom, opts EvalOptions) (*Database, EvalStats, error) {
-	return eval.Incremental(p, out, newFacts, opts)
 }
 
 // NewTopDown builds a tabled top-down engine over p and edb.

@@ -84,11 +84,10 @@ type Options struct {
 	// benchmarks and the streaming≡materializing property test. Implied by
 	// NoCompile (the pipeline lowers from the compiled form).
 	NoStream bool
-	// Workers > 1 evaluates each round's rule variants (and, under Shards,
-	// each variant's shard slices) concurrently, collecting derivations into
-	// per-task buffers and merging them after the round (semi-naive windows
-	// never read the current round, so deferring insertion is
-	// observationally identical). Workers ≤ 1 is sequential.
+	// Workers is the number of goroutines running a sharded round's shard
+	// tasks (see Shards), capped at Shards. It never changes the output:
+	// with Shards ≤ 1 a round runs sequentially whatever Workers says, and
+	// Workers ≤ 1 runs the shard tasks inline.
 	Workers int
 	// Shards > 1 enables the sharded round executor: every relation gains a
 	// hash-partitioned ownership view over a planner-chosen join-key column,

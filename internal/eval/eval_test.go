@@ -235,20 +235,6 @@ func TestBudgetEnforcedWithinRound(t *testing.T) {
 	if stats.Added > budget+1 {
 		t.Fatalf("NoCompile derived %d facts, budget %d", stats.Added, budget)
 	}
-	// And through Incremental's delta loop: closing over the new A facts
-	// derives the same cross product in one delta round.
-	out := MustEval(p, db.New())
-	var facts []ast.GroundAtom
-	for i := 0; i < 100; i++ {
-		facts = append(facts, ga("A", int64(i)))
-	}
-	_, stats, err = Incremental(p, out, facts, Options{MaxDerived: budget})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("Incremental err = %v, want ErrBudget", err)
-	}
-	if stats.Added > budget+1 {
-		t.Fatalf("Incremental derived %d facts, budget %d", stats.Added, budget)
-	}
 }
 
 // TestBudgetParallelStillErrs checks that the budget tripwire also fires on

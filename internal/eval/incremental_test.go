@@ -1,26 +1,38 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ast"
 	"repro/internal/db"
-	"repro/internal/parser"
 	"repro/internal/workload"
 )
+
+// materialize prepares p under opts and materializes it over base as a
+// maintained view.
+func materialize(t testing.TB, p *ast.Program, base *db.Database, opts Options) *Maintained {
+	t.Helper()
+	prep, err := Prepare(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := prep.Materialize(context.Background(), base, MaintainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestIncrementalEqualsFullReEval(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 10)
-	out, _, err := Eval(p, base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := materialize(t, p, base, Options{})
 	// Insert a back edge closing the chain into a cycle.
 	newFacts := []ast.GroundAtom{ga("A", 10, 0)}
-	inc, incStats, err := Incremental(p, out, newFacts, Options{})
+	diff, incStats, err := m.Apply(context.Background(), Delta{Assert: newFacts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,36 +41,35 @@ func TestIncrementalEqualsFullReEval(t *testing.T) {
 		full.Add(f)
 	}
 	want := MustEval(p, full)
-	if !inc.Equal(want) {
-		t.Fatalf("incremental %d facts, full %d facts", inc.Len(), want.Len())
+	if !m.Output().Equal(want) {
+		t.Fatalf("incremental %d facts, full %d facts", m.Output().Len(), want.Len())
 	}
-	if incStats.Added == 0 {
+	if incStats.Added == 0 || len(diff.Added) == 0 {
 		t.Fatal("no incremental derivations recorded")
 	}
 }
 
 func TestIncrementalNoOp(t *testing.T) {
 	p := workload.TransitiveClosure()
-	out := MustEval(p, workload.Chain("A", 5))
+	base := workload.Chain("A", 5)
+	m := materialize(t, p, base, Options{})
+	before := m.Output()
 	// Re-inserting existing facts derives nothing.
-	inc, stats, err := Incremental(p, out, []ast.GroundAtom{ga("A", 0, 1)}, Options{})
+	diff, stats, err := m.Apply(context.Background(), Delta{Assert: []ast.GroundAtom{ga("A", 0, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inc.Equal(out) || stats.Added != 0 {
-		t.Fatalf("no-op insertion changed the DB: %+v", stats)
+	if !diff.Empty() || stats.Added != 0 || !m.Output().Equal(before) {
+		t.Fatalf("no-op insertion changed the view: diff %+v, stats %+v", diff, stats)
 	}
 }
 
 func TestIncrementalCheaperThanReEval(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 40)
-	out, _, err := Eval(p, base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := materialize(t, p, base, Options{})
 	newFacts := []ast.GroundAtom{ga("A", 100, 101)} // disconnected edge
-	_, incStats, err := Incremental(p, out, newFacts, Options{})
+	_, incStats, err := m.Apply(context.Background(), Delta{Assert: newFacts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +92,9 @@ func TestQuickIncrementalAgreesWithFull(t *testing.T) {
 			return true
 		}
 		base := workload.RandomDB(rng, p, 4, 3)
-		out, _, err := Eval(p, base, Options{})
-		if err != nil {
-			return false
-		}
+		m := materialize(t, p, base, Options{})
 		extra := workload.RandomDB(rng, p, 4, 2)
-		inc, _, err := Incremental(p, out, extra.Facts(), Options{})
-		if err != nil {
+		if _, _, err := m.Apply(context.Background(), Delta{Assert: extra.Facts()}); err != nil {
 			return false
 		}
 		full := base.Clone()
@@ -96,25 +103,9 @@ func TestQuickIncrementalAgreesWithFull(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return inc.Equal(want)
+		return m.Output().Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIncrementalRejectsNegation(t *testing.T) {
-	// Inserting E(1,2) would have to retract Unreach(2); since the previous
-	// output cannot distinguish inputs from derivations, Incremental must
-	// refuse rather than silently keep the stale fact.
-	p := parser.MustParseProgram(`
-		Reach(x) :- Src(x).
-		Reach(y) :- Reach(x), E(x, y).
-		Unreach(x) :- Node(x), !Reach(x).
-	`)
-	base := ast.GroundAtom{Pred: "Src", Args: []ast.Const{ast.Int(1)}}
-	in := MustEval(p, db.FromFacts([]ast.GroundAtom{ga("Node", 1), ga("Node", 2), base}))
-	if _, _, err := Incremental(p, in, []ast.GroundAtom{ga("E", 1, 2)}, Options{}); err == nil {
-		t.Fatal("negation accepted by Incremental")
 	}
 }

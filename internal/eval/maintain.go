@@ -611,13 +611,15 @@ func changedFirings(rules []ast.Rule, base, posDelta, negDelta *db.Database, sta
 // delta window spans every round of the current Apply ([deltaMin, prev]) —
 // lower-unit additions, DRed-restored facts and staged asserts all carry
 // stamps in that span — and ordinary single-round delta windows after that.
-// Identical to deltaLoop otherwise, so Workers and Shards keep the
-// evaluator's determinism disciplines.
+// The view's database is closed under the rules before the Apply, so every
+// new derivation uses at least one delta fact and delta variants alone are
+// complete; any body position can hold the delta (asserts may be
+// extensional). opts are the view's prepared (normalized) options, so
+// Workers and Shards keep the evaluator's determinism disciplines.
 func maintInsertLoop(ctx context.Context, d *db.Database, rules []ast.Rule, deltaMin int32, opts Options, stats *Stats) error {
 	opts.Context = ctx
 	opts.Goal = nil
 	opts.MaxDerived = 0
-	opts.Shards = normalizeShards(opts)
 	ordered := make([]ast.Rule, len(rules))
 	compiled := make([]*compiledRule, len(rules))
 	for i, r := range rules {

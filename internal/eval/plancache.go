@@ -74,16 +74,19 @@ func (pc *PlanCache) Stats() CacheStats {
 
 // zeroOptsKey serves the by-far most common fingerprint without building it
 // — the containment sessions always prepare under default options.
-var zeroOptsKey = computePlanKey(Options{})
+var zeroOptsKey = computePlanKey(normalize(Options{}))
 
-// planKey fingerprints every Options field that shapes a prepared plan.
-// MaxDerived and Goal are baked into a Prepared's run defaults, so they
-// distinguish plans too; per-call EvalGoal arguments do not touch them.
+// planKey fingerprints every Options field that shapes a prepared plan,
+// after the normalization Prepare applies, so option sets that select the
+// same plan ({}, {Shards: 1} and {Workers: 4} all run sequentially) share
+// one entry. MaxDerived and Goal are baked into a Prepared's run defaults,
+// so they distinguish plans too; per-call EvalGoal arguments do not touch
+// them.
 func planKey(opts Options) string {
 	if opts == (Options{}) {
 		return zeroOptsKey
 	}
-	return computePlanKey(opts)
+	return computePlanKey(normalize(opts))
 }
 
 func computePlanKey(opts Options) string {

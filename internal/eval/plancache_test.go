@@ -74,6 +74,34 @@ func TestPlanCacheHitReturnsSamePlan(t *testing.T) {
 	}
 }
 
+// TestPlanCacheNormalizedOptions checks that option sets selecting the
+// same plan share one entry: {}, {Shards: 1} and {Workers: 4} all run
+// sequentially, so only the first of them prepares.
+func TestPlanCacheNormalizedOptions(t *testing.T) {
+	pc := NewPlanCache(8)
+	p := cacheProgram(t, 1)
+	for i, o := range []Options{{}, {Shards: 1}, {Workers: 4}} {
+		_, hit, err := pc.PrepareHit(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != (i > 0) {
+			t.Fatalf("%+v: hit = %v, want %v", o, hit, i > 0)
+		}
+	}
+	if st := pc.Stats(); st.Entries != 1 {
+		t.Fatalf("cache holds %d entries, want 1", st.Entries)
+	}
+	// Sharded plans stay distinct, but worker counts past the shard count
+	// all mean one goroutine per shard.
+	if _, hit, _ := pc.PrepareHit(p, Options{Shards: 2, Workers: 2}); hit {
+		t.Fatal("sharded options shared the sequential plan")
+	}
+	if _, hit, _ := pc.PrepareHit(p, Options{Shards: 2, Workers: 8}); !hit {
+		t.Fatal("Workers above Shards did not normalize to Shards")
+	}
+}
+
 // TestPlanCacheConcurrent hammers one cache from many goroutines over a
 // small program set (run under -race); every returned plan for a program
 // must be usable and hits+misses must equal the number of lookups.

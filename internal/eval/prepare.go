@@ -100,8 +100,8 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	opts = normalize(opts)
 	opts.Context = nil
-	opts.Shards = normalizeShards(opts)
 	pr := &Prepared{prog: p.Clone(), opts: opts}
 	groups, err := scheduleGroups(pr.prog, opts)
 	if err != nil {

@@ -220,8 +220,9 @@ func TestCompiledStratifiedNegation(t *testing.T) {
 	}
 }
 
-// TestQuickParallelEqualsSequential cross-checks the parallel round
-// evaluator against sequential evaluation on random programs, for both
+// TestQuickParallelEqualsSequential cross-checks the concurrent (sharded,
+// four goroutines) round executor against sequential evaluation on random
+// programs, for both
 // fixpoint strategies: the output databases AND the Added counts must be
 // identical (run with -race in CI to catch data races — in-round index
 // reads are lock-free and must stay correctly frozen at round boundaries).
@@ -238,13 +239,10 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			b, sb, err := Eval(p, d, Options{Strategy: strat, Workers: 4})
+			b, sb, err := Eval(p, d, Options{Strategy: strat, Workers: 4, Shards: 4})
 			if err != nil {
 				return false
 			}
-			// Firings can differ (parallel variants may rederive a fact
-			// another variant found in the same round), but the output
-			// database and the number of new facts must not.
 			if !a.Equal(b) || sa.Added != sb.Added {
 				return false
 			}
@@ -265,7 +263,7 @@ func TestParallelStratifiedNegation(t *testing.T) {
 	in := db.FromFacts([]ast.GroundAtom{
 		ga("Src", 1), ga("E", 1, 2), ga("E", 2, 3), ga("Node", 3), ga("Node", 7),
 	})
-	a, _, err := Eval(p, in, Options{Workers: 4})
+	a, _, err := Eval(p, in, Options{Workers: 4, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,25 +13,24 @@ import (
 )
 
 // The round executor evaluates one fixpoint round's variants. It is shared
-// by the unit fixpoint (prepare.go) and the incremental delta loop
-// (incremental.go), so both honor the same Options — Workers, Shards, the
+// by the unit fixpoint (prepare.go) and the maintenance insertion loop
+// (maintain.go), so both honor the same Options — Workers, Shards, the
 // derived-fact budget, goal-directed early stop, cancellation — through one
-// discipline. Three strategies, all committing byte-identical databases:
+// discipline. Two strategies, committing byte-identical databases:
 //
-//   - sequential: fire variants in order, inserting as they emit;
-//   - parallel (Workers > 1): fire variants concurrently into per-variant
-//     buffers, commit in variant order against the frozen window (the
-//     prefix-cut merge);
+//   - sequential (Shards ≤ 1): fire variants in order, inserting as they
+//     emit;
 //   - sharded (Shards > 1): split every variant into per-shard tasks over a
-//     hash-partitioned ownership view of its outer relation. Each task
-//     enumerates only the owned slice of the outer round window — walking
-//     the window's contiguous id-range directly, delta-first when the delta
-//     sits on executed position 1 — and buffers derivations tagged with
-//     merge keys. The commit concatenates a variant's shard buffers and
-//     sorts by (plan-outer id, delta id, buffer order), which reconstructs
-//     exactly the emission order the sequential plan-ordered join produces,
-//     so the committed database (and any goal early-stop prefix of it) is
-//     byte-identical to Shards = 1 for every shard count.
+//     hash-partitioned ownership view of its outer relation, run by up to
+//     Workers goroutines. Each task enumerates only the owned slice of the
+//     outer round window — walking the window's contiguous id-range
+//     directly, delta-first when the delta sits on executed position 1 —
+//     and buffers derivations tagged with merge keys. The commit
+//     concatenates a variant's shard buffers and sorts by (plan-outer id,
+//     delta id, buffer order), which reconstructs exactly the emission order
+//     the sequential plan-ordered join produces, so the committed database
+//     (and any goal early-stop prefix of it) is byte-identical to Shards = 1
+//     for every shard and worker count.
 
 // variant is one delta/full application of a rule in a round: idx selects
 // the round's ordered/compiled rule, windows are the executed-order round
@@ -131,10 +130,7 @@ func (env *roundEnv) runRound(rr roundRules, variants []variant) error {
 	if env.opts.Shards > 1 {
 		return env.runSharded(rr, variants)
 	}
-	if env.opts.Workers <= 1 || len(variants) < 2 {
-		return env.runSequential(rr, variants)
-	}
-	return env.runParallel(rr, variants)
+	return env.runSequential(rr, variants)
 }
 
 // runSequential fires variants in order, inserting as they emit.
@@ -210,116 +206,6 @@ func (env *roundEnv) runSequential(rr roundRules, variants []variant) error {
 		}
 	}
 	return nil
-}
-
-// runParallel fires variants concurrently into per-variant buffers and
-// merges after the round. The budget tripwire counts tentative emissions
-// (each variant dedups against the frozen database but not against its
-// peers), so it can only overcount; when it trips without the merged total
-// actually exceeding the budget, the truncated round is re-fired —
-// already-merged facts then dedup at emit time, so every re-fire either
-// completes the round or strictly grows the database until the budget
-// genuinely runs out.
-//
-// Goal-directed runs use a variant-ordered merge with prefix cut. In-flight
-// variants are deliberately NOT aborted (cutting peers off mid-enumeration
-// would make the partial database depend on goroutine scheduling); instead
-// the merge commits the buffers in variant order and stops at the first
-// committed goal fact. Each variant's enumeration only probes frozen
-// indexes — tuples inserted mid-round are stamped with the current round,
-// which every window excludes — so a buffer replays exactly the emission
-// sequence the sequential path would produce for that variant, and the
-// committed prefix equals the sequential partial database byte for byte
-// while reclaiming the mid-round abort. A variant's error is surfaced after
-// its buffer commits (the sequential path adds facts up to the failure
-// point too); errors of variants past the cut belong to work a sequential
-// run never starts and are discarded.
-func (env *roundEnv) runParallel(rr roundRules, variants []variant) error {
-	d, opts, stats, goal := env.d, env.opts, env.stats, env.goal
-	type pending struct {
-		pred string
-		args []ast.Const
-	}
-	var tentative atomic.Int64
-	var tripped atomic.Bool
-	var stopFn func() bool
-	if opts.MaxDerived > 0 {
-		stopFn = func() bool { return tripped.Load() }
-	}
-	for {
-		// Parallel rounds observe cancellation at round (and re-fire)
-		// boundaries: aborting in-flight variants mid-enumeration would make
-		// the partial database depend on goroutine scheduling, which the
-		// deterministic merge below exists to prevent.
-		if err := CtxErr(env.ctx); err != nil {
-			return err
-		}
-		tentative.Store(int64(d.Len() - env.baseLen))
-		tripped.Store(false)
-		buffers := make([][]pending, len(variants))
-		statsArr := make([]Stats, len(variants))
-		errs := make([]error, len(variants))
-		sem := make(chan struct{}, opts.Workers)
-		var wg sync.WaitGroup
-		for vi := range variants {
-			wg.Add(1)
-			go func(vi int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				v := variants[vi]
-				emit := func(pred string, args []ast.Const) bool {
-					if d.HasTuple(pred, args) {
-						return false
-					}
-					cp := make([]ast.Const, len(args))
-					copy(cp, args)
-					buffers[vi] = append(buffers[vi], pending{pred: pred, args: cp})
-					if opts.MaxDerived > 0 && tentative.Add(1) > int64(opts.MaxDerived) {
-						tripped.Store(true)
-					}
-					return true // tentatively new; merge dedups across variants
-				}
-				errs[vi] = rr.fire(d, v.idx, v.windows, &statsArr[vi], emit, stopFn)
-			}(vi)
-		}
-		wg.Wait()
-		// The merge runs single-threaded after the round's workers join, so
-		// provenance updates need no synchronization.
-		for vi := range variants {
-			stats.Firings += statsArr[vi].Firings
-			merged := 0
-			cut := false
-			for _, pf := range buffers[vi] {
-				if d.AddTuple(pf.pred, pf.args) {
-					stats.Added++
-					merged++
-					if goal != nil && pf.pred == goal.Pred && constsEqual(pf.args, goal.Args) {
-						cut = true
-						break
-					}
-				}
-			}
-			if env.prov != nil && merged > 0 {
-				env.prov.Add(env.ruleIdxs[variants[vi].idx])
-			}
-			if cut {
-				// The goal is ground, so any committed emission of it is the
-				// goal; it precedes any error in this variant's enumeration,
-				// and later variants are past the cut.
-				return errGoal
-			}
-			if errs[vi] != nil {
-				return errs[vi]
-			}
-		}
-		if !tripped.Load() {
-			return nil
-		}
-		if d.Len()-env.baseLen > opts.MaxDerived {
-			return env.budgetErr()
-		}
-	}
 }
 
 // shardPending is one buffered derivation of a sharded task: the merge keys
@@ -523,10 +409,26 @@ func commitOrder(bufs [][]shardPending, tagInner bool, aux *mergeAux) []shardPen
 
 // runSharded splits every variant into Shards ownership-disjoint tasks and
 // merges their buffers deterministically (see the package comment above).
-// It shares runParallel's budget tripwire, re-fire loop and prefix-cut goal
-// discipline; Workers bounds task concurrency, and Workers = 1 runs the
-// tasks inline in task order (still buffered — the merge is what defines
-// the commit order, not the firing schedule).
+// Workers is the number of goroutines running the tasks; Workers ≤ 1 runs
+// them inline in task order (still buffered — the merge is what defines the
+// commit order, not the firing schedule).
+//
+// The budget tripwire counts tentative emissions (each task dedups against
+// the frozen database and its own buffer but not against its peers), so it
+// can only overcount; when it trips without the merged total actually
+// exceeding the budget, the truncated round is re-fired — already-merged
+// facts then dedup at emit time, so every re-fire either completes the
+// round or strictly grows the database until the budget genuinely runs out.
+//
+// Goal-directed runs use a variant-ordered merge with prefix cut. In-flight
+// tasks are deliberately NOT aborted (cutting peers off mid-enumeration
+// would make the partial database depend on goroutine scheduling); instead
+// the merge commits in sequential order and stops at the first committed
+// goal fact. Each task only probes frozen indexes — tuples inserted
+// mid-round are stamped with the current round, which every window
+// excludes — so the committed prefix equals the sequential partial database
+// byte for byte. Cancellation is likewise observed at round (and re-fire)
+// boundaries only.
 func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 	d, opts, stats, goal := env.d, env.opts, env.stats, env.goal
 	shards := opts.Shards
@@ -564,10 +466,7 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 	if opts.MaxDerived > 0 {
 		stopFn = func() bool { return tripped.Load() }
 	}
-	width := opts.Workers
-	if width < 1 {
-		width = 1
-	}
+	width := max(opts.Workers, 1)
 	nTasks := len(variants) * shards
 	pool := &env.pool
 	for {
@@ -663,8 +562,7 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 		// swapped execution, and emissions sharing both keys come from a
 		// single shard in already-correct relative order (ownership makes
 		// the key spaces disjoint across shards). Variants then commit in
-		// variant order exactly as the parallel merge does, goal prefix cut
-		// included.
+		// variant order, goal prefix cut included.
 		for vi := range variants {
 			base := vi * shards
 			for s := 0; s < shards; s++ {
@@ -724,17 +622,27 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 	}
 }
 
-// normalizeShards resolves the effective shard count of opts: the sharded
-// executor is part of the compiled kernel, so NoCompile runs unsharded, and
-// the ownership views store owners in one byte, capping the count at 256.
-func normalizeShards(opts Options) int {
+// normalize resolves opts to the plan they select. The sharded executor is
+// part of the compiled kernel, so NoCompile runs unsharded, and the
+// ownership views store owners in one byte, capping Shards at 256. Workers
+// only counts the goroutines running shard tasks: it is 0 when a round runs
+// sequentially (Shards ≤ 1) or its tasks inline (Workers ≤ 1), and at most
+// Shards otherwise. Options that normalize equal evaluate identically, so
+// Prepare plans under the normalized form and the plan cache keys by it.
+func normalize(opts Options) Options {
 	switch {
 	case opts.NoCompile || opts.Shards < 1:
-		return 1
+		opts.Shards = 1
 	case opts.Shards > 256:
-		return 256
+		opts.Shards = 256
 	}
-	return opts.Shards
+	switch {
+	case opts.Shards <= 1 || opts.Workers <= 1:
+		opts.Workers = 0
+	case opts.Workers > opts.Shards:
+		opts.Workers = opts.Shards
+	}
+	return opts
 }
 
 // partitionCols chooses, per predicate, the column sharded rounds partition

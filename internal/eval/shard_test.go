@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -183,13 +184,12 @@ func TestShardedBudgetConsistency(t *testing.T) {
 	}
 }
 
-// TestShardedIncrementalOracle: the maintenance path routed through the
-// shared round executor agrees with full re-evaluation at every grid point,
-// and produces byte-identical databases across the grid.
+// TestShardedIncrementalOracle: the maintenance insertion loop routed
+// through the shared round executor agrees with full re-evaluation at every
+// grid point, and produces byte-identical databases across the grid.
 func TestShardedIncrementalOracle(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 12)
-	out := MustEval(p, base)
 	newFacts := []ast.GroundAtom{ga("A", 12, 0), ga("A", 5, 20), ga("A", 20, 21)}
 	full := base.Clone()
 	for _, f := range newFacts {
@@ -200,16 +200,18 @@ func TestShardedIncrementalOracle(t *testing.T) {
 	first := true
 	for _, w := range []int{1, 8} {
 		for _, s := range shardGrid {
-			inc, stats, err := Incremental(p, out, newFacts, Options{Workers: w, Shards: s})
+			m := materialize(t, p, base, Options{Workers: w, Shards: s})
+			_, stats, err := m.Apply(context.Background(), Delta{Assert: newFacts})
 			if err != nil {
 				t.Fatalf("workers=%d shards=%d: %v", w, s, err)
 			}
+			inc := m.Output()
 			if !inc.Equal(want) {
 				t.Fatalf("workers=%d shards=%d: incremental %d facts, full re-eval %d facts",
 					w, s, inc.Len(), want.Len())
 			}
 			if s > 1 && stats.ShardRounds == 0 {
-				t.Fatalf("workers=%d shards=%d: sharded delta loop did not engage", w, s)
+				t.Fatalf("workers=%d shards=%d: sharded insertion loop did not engage", w, s)
 			}
 			dump := inc.String()
 			if first {
@@ -230,8 +232,7 @@ func TestShardedIncrementalRandomOracle(t *testing.T) {
 			continue
 		}
 		base := workload.RandomDB(rng, p, 4, 3)
-		out, _, err := Eval(p, base, Options{})
-		if err != nil {
+		if _, _, err := Eval(p, base, Options{}); err != nil {
 			continue
 		}
 		extra := workload.RandomDB(rng, p, 4, 2)
@@ -242,11 +243,11 @@ func TestShardedIncrementalRandomOracle(t *testing.T) {
 			continue
 		}
 		for _, g := range grid {
-			inc, _, err := Incremental(p, out, extra.Facts(), Options{Workers: g[0], Shards: g[1]})
-			if err != nil {
+			m := materialize(t, p, base, Options{Workers: g[0], Shards: g[1]})
+			if _, _, err := m.Apply(context.Background(), Delta{Assert: extra.Facts()}); err != nil {
 				t.Fatalf("seed %d workers=%d shards=%d: %v", seed, g[0], g[1], err)
 			}
-			if !inc.Equal(want) {
+			if !m.Output().Equal(want) {
 				t.Fatalf("seed %d workers=%d shards=%d: incremental disagrees with full re-eval\nprogram:\n%s",
 					seed, g[0], g[1], p)
 			}

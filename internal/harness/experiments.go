@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -643,18 +644,18 @@ func E11Engines() Table {
 	return t
 }
 
-// E12Incremental measures insertion maintenance against full
-// re-evaluation.
+// E12Incremental measures insertion maintenance of a materialized view
+// (Prepared.Materialize + Maintained.Apply) against full re-evaluation.
 func E12Incremental() Table {
 	t := Table{ID: "E12", Title: "incremental insertion maintenance vs full re-evaluation (extension)",
 		Columns: []string{"base chain n", "insertion", "mode", "firings", "time"}}
 	p := workload.TransitiveClosure()
+	prep, err := eval.Prepare(p, eval.Options{})
+	if err != nil {
+		panic(err)
+	}
 	for _, n := range []int{32, 64} {
 		base := workload.Chain("A", n)
-		out, _, err := eval.Eval(p, base, eval.Options{})
-		if err != nil {
-			panic(err)
-		}
 		cases := []struct {
 			name string
 			fact ast.GroundAtom
@@ -664,9 +665,13 @@ func E12Incremental() Table {
 			{"closing back-edge", ga("A", int64(n), 0)},
 		}
 		for _, c := range cases {
+			view, _, err := prep.Materialize(context.Background(), base, eval.MaintainOptions{})
+			if err != nil {
+				panic(err)
+			}
 			var sInc eval.Stats
 			dInc := timed(func() {
-				_, s, err := eval.Incremental(p, out, []ast.GroundAtom{c.fact}, eval.Options{})
+				_, s, err := view.Apply(context.Background(), eval.Delta{Assert: []ast.GroundAtom{c.fact}})
 				if err != nil {
 					panic(err)
 				}
@@ -692,7 +697,7 @@ func E12Incremental() Table {
 
 // E13EngineAblations profiles the evaluation-engine design choices on one
 // reference workload (TC over a random digraph): compiled vs generic
-// joins, SCC schedule, join reordering, and worker parallelism.
+// joins, SCC schedule, join reordering, and the sharded executor.
 func E13EngineAblations() Table {
 	t := Table{ID: "E13", Title: "evaluation-engine ablations (TC over random digraph n=60 m=120)",
 		Columns: []string{"configuration", "firings", "facts out", "time"}}
@@ -716,7 +721,7 @@ func E13EngineAblations() Table {
 	run("no SCC schedule", eval.Options{NoSCCOrder: true})
 	run("no join reorder", eval.Options{NoReorder: true})
 	run("naive strategy", eval.Options{Strategy: eval.Naive})
-	run("4 workers", eval.Options{Workers: 4})
+	run("4 shards", eval.Options{Shards: 4})
 	return t
 }
 

@@ -115,10 +115,22 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body: a larger one is answered 413
+// before it is buffered, so no single request can exhaust the process's
+// memory through its body.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the JSON request body into v, rejecting unknown
+// fields and bodies over maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
+				Err: fmt.Errorf("service: request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		return &RequestError{Status: 400, Code: "bad_request", Err: fmt.Errorf("service: decoding body: %w", err)}
 	}
 	return nil
@@ -129,7 +141,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Source string `json:"source"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -155,7 +167,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		Retract string `json:"retract"`
 		Facts   string `json:"facts"` // deprecated alias for Assert
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -194,7 +206,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		DBVersion      int        `json:"db_version"`
 		Budget         budgetJSON `json:"budget"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -251,7 +263,7 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		ProgramVersion int        `json:"program_version"`
 		Budget         budgetJSON `json:"budget"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -291,7 +303,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		VersionB int        `json:"version_b"`
 		Budget   budgetJSON `json:"budget"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -327,7 +339,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ProgramVersion int `json:"program_version"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -383,7 +395,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		ProgramVersion int    `json:"program_version"`
 		DBVersion      int    `json:"db_version"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

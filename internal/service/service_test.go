@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -602,4 +603,23 @@ func sliceEq(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestOversizedBodyRejected posts a /facts body past the request-body cap:
+// the server answers a typed 413 without buffering it and keeps serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, resp := post(t, ts, "/v1/programs/authz", map[string]any{"source": authzProgram}); code != 200 {
+		t.Fatalf("register: %d %v", code, resp)
+	}
+	facts := strings.Repeat(`Direct("u", "g"). `, maxBodyBytes/18+1)
+	code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "assert": facts})
+	if code != http.StatusRequestEntityTooLarge || resp["error"] != "body_too_large" {
+		t.Fatalf("oversized facts: %d %v, want 413 body_too_large", code, resp)
+	}
+	if code, resp := get(t, ts, "/v1/healthz"); code != 200 {
+		t.Fatalf("healthz after oversized body: %d %v", code, resp)
+	}
 }

@@ -126,7 +126,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		ProgramVersion int    `json:"program_version"`
 		ForceDRed      bool   `json:"force_dred"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
